@@ -118,9 +118,12 @@ cover:
 
 # The perf-acceptance benchmarks, one iteration each on small inputs:
 # proves the parallel path stays byte-identical and the hot path stays
-# allocation-lean without taking minutes.
+# allocation-lean without taking minutes. The second line runs DUMAS's
+# indexed scoring (rows=400) and the sketch-filtered detector
+# (rows=900) once each.
 bench-short:
 	$(GO) test -short -run '^$$' -bench 'BenchmarkDetect$$|BenchmarkPairComparison' -benchtime 1x ./...
+	$(GO) test -short -run '^$$' -bench '^(BenchmarkDUMASMatch|BenchmarkDupDetect)$$/^rows=(400|900)$$' -benchtime 1x .
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

@@ -1,27 +1,24 @@
 package dumas
 
 import (
+	"context"
 	"sort"
 	"strings"
 
+	"hummer/internal/parshard"
 	"hummer/internal/strsim"
 )
 
-// Cross-relation candidate-pair generation for the duplicate-discovery
-// step. Every strategy is a pairGen: a deterministic stream of
-// (leftRow, rightRow) pairs in the strategy's canonical order. The
-// scorer consumes the stream either inline (sequential) or chunked
-// across the parshard worker pool; the canonical order is what makes
-// the two paths produce byte-identical results.
+// Key-based cross-relation candidate-pair generation for the
+// duplicate-discovery step. The default strategy needs no generator:
+// it scores every pair sharing a term through the weighted inverted
+// index (score.go). The two key-based strategies are pairGens: a
+// deterministic stream of (leftRow, rightRow) pairs in the strategy's
+// canonical order. The scorer consumes the stream either inline
+// (sequential) or chunked across the parshard worker pool; the
+// canonical order is what makes the two paths produce byte-identical
+// results.
 //
-// Three strategies exist:
-//
-//   - token index (the default): an inverted token index over the
-//     right tuples; each left tuple is paired with every right tuple
-//     sharing at least one token. Pairs sharing no token have TFIDF
-//     cosine 0 and can never reach MinTupleSim > 0, so this is
-//     exhaustive in recall while skipping the hopeless pairs — the
-//     "efficient" part of DUMAS.
 //   - sorted neighborhood (Config.Window): left and right tuples are
 //     merged into one list ordered by their whole-tuple sort key
 //     (lowercased tupleText); only cross-relation entries within the
@@ -47,20 +44,6 @@ const qgramPrefixRunes = 10
 // exists to avoid.
 const maxQGramBlock = 1000
 
-// tokenIndexPairs streams, for each left row in ascending order, the
-// ascending right rows sharing at least one token with it.
-func tokenIndexPairs(leftTokens, rightTokens [][]string) pairGen {
-	index := map[string][]int{}
-	for ri, toks := range rightTokens {
-		for _, t := range dedupSorted(toks) {
-			index[t] = append(index[t], ri)
-		}
-	}
-	return probeIndexPairs(leftTokens, len(rightTokens), index, 0, func(toks []string) []string {
-		return dedupSorted(toks)
-	})
-}
-
 // qgramPairs streams, for each left row in ascending order, the
 // ascending right rows sharing at least one q-gram of the sort-key
 // prefix. Oversized posting lists are skipped on both sides.
@@ -78,28 +61,26 @@ func qgramPairs(leftKeys, rightKeys []string, q int) pairGen {
 	for li, key := range leftKeys {
 		keyed[li] = grams(key)
 	}
-	return probeIndexPairs(keyed, len(rightKeys), index, maxQGramBlock, func(ks []string) []string {
-		return ks
-	})
+	return probeIndexPairs(keyed, len(rightKeys), index)
 }
 
-// probeIndexPairs is the shared inverted-index probe: for each left
-// row ascending, collect the distinct right rows from the posting
-// lists of its keys (lists longer than maxPosting are skipped when
-// maxPosting > 0), sort them ascending and yield. A stamp array makes
-// the per-row dedup allocation-free.
-func probeIndexPairs(leftKeyed [][]string, nRight int, index map[string][]int, maxPosting int, keysOf func([]string) []string) pairGen {
+// probeIndexPairs is the inverted-index probe: for each left row
+// ascending, collect the distinct right rows from the posting lists of
+// its keys (lists longer than maxQGramBlock are skipped), sort them
+// ascending and yield. A stamp array makes the per-row dedup
+// allocation-free.
+func probeIndexPairs(leftKeyed [][]string, nRight int, index map[string][]int) pairGen {
 	return func(yield func(li, ri int) bool) {
 		stamp := make([]int, nRight)
 		for i := range stamp {
 			stamp[i] = -1
 		}
 		var cands []int
-		for li, raw := range leftKeyed {
+		for li, keys := range leftKeyed {
 			cands = cands[:0]
-			for _, k := range keysOf(raw) {
+			for _, k := range keys {
 				list := index[k]
-				if maxPosting > 0 && len(list) > maxPosting {
+				if len(list) > maxQGramBlock {
 					continue
 				}
 				for _, ri := range list {
@@ -196,20 +177,29 @@ func runePrefix(s string, p int) string {
 	return s
 }
 
-// sortKey renders a tuple's sorted-neighborhood / blocking key: the
-// lowercased whole-tuple text.
-func sortKey(text string) string { return strings.ToLower(text) }
+// sortKeys renders, row-sharded, each tuple's sorted-neighborhood /
+// blocking key: the lowercased whole-tuple text. A cancelled ctx
+// leaves later keys empty; the scoring run re-checks ctx on entry and
+// discards everything, so the poll only keeps this pass from running
+// to completion first.
+func sortKeys(ctx context.Context, texts []string, workers int) []string {
+	keys := make([]string, len(texts))
+	_ = parshard.RangesContext(ctx, workers, len(texts), func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if i%parshard.CancelStride == 0 && parshard.Canceled(ctx) {
+				return
+			}
+			keys[i] = strings.ToLower(texts[i])
+		}
+	})
+	return keys
+}
 
-// candidateGen selects the strategy for cfg. Config validation has
-// already rejected conflicting settings; keys are only materialized
-// when a key-based strategy needs them.
-func candidateGen(cfg Config, leftTokens, rightTokens [][]string, leftKeys, rightKeys func() []string) pairGen {
-	switch {
-	case cfg.Window > 0:
-		return windowPairs(leftKeys(), rightKeys(), cfg.Window)
-	case cfg.QGrams > 0:
-		return qgramPairs(leftKeys(), rightKeys(), cfg.QGrams)
-	default:
-		return tokenIndexPairs(leftTokens, rightTokens)
+// keyedPairs selects the key-based strategy for cfg (Window or
+// QGrams). Config validation has already rejected setting both.
+func keyedPairs(cfg Config, leftKeys, rightKeys []string) pairGen {
+	if cfg.Window > 0 {
+		return windowPairs(leftKeys, rightKeys, cfg.Window)
 	}
+	return qgramPairs(leftKeys, rightKeys, cfg.QGrams)
 }

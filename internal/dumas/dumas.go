@@ -11,21 +11,27 @@
 // averaged matrix, and prunes correspondences below a threshold,
 // yielding 1:1 attribute correspondences.
 //
-// # Candidate generation
+// # Candidate generation and scoring
 //
 // Which cross-relation tuple pairs are scored during duplicate
-// discovery is decided by one of three strategies (see candidates.go):
-// the inverted token index (the default — exhaustive recall, since
-// pairs sharing no token score 0), sorted neighborhood over the
-// whole-tuple sort keys (Config.Window > 0), and q-gram prefix
-// blocking (Config.QGrams > 0).
+// discovery is decided by one of three strategies. The default scores
+// every pair sharing a term — exhaustive recall, since pairs sharing
+// none score 0 — by accumulating the cosine through a weighted
+// inverted index over the right tuples' term vectors (score.go): each
+// left row walks its sorted terms and adds wl·wr into a per-worker
+// accumulator, so no per-pair merge runs, and every similarity is
+// bit-identical to the pair's strsim.DotTermVecs. The key-based
+// strategies (candidates.go) propose pairs by sorted neighborhood over
+// the whole-tuple sort keys (Config.Window > 0) or by q-gram prefix
+// blocking (Config.QGrams > 0), each scored with DotTermVecs.
 //
 // # Parallelism and determinism
 //
 // Config.Parallelism sets the number of worker goroutines (0 means
 // GOMAXPROCS, 1 forces sequential). Three phases shard across the
 // parshard worker pool: the per-tuple precomputation (tokenizing,
-// corpus statistics, TFIDF term vectors), the candidate-pair scoring,
+// corpus statistics, TFIDF term vectors), the pair scoring (left rows
+// by default, candidate pairs under the key-based strategies),
 // and the per-cell averaging of the field-similarity matrix. All
 // similarity math runs over sorted term vectors with deterministic
 // float accumulation, so the Result — correspondences, duplicates,
@@ -173,6 +179,13 @@ func MatchContext(ctx context.Context, left, right *relation.Relation, cfg Confi
 	if err != nil {
 		return nil, err
 	}
+	return correspond(ctx, left, right, dups, stats, cfg)
+}
+
+// correspond is the field-wise half of matching: it averages the
+// duplicate pairs' field-similarity matrices, assigns attributes 1:1
+// and prunes weak correspondences.
+func correspond(ctx context.Context, left, right *relation.Relation, dups []TuplePair, stats Stats, cfg Config) (*Result, error) {
 	if len(dups) == 0 {
 		return &Result{Stats: stats}, nil
 	}
@@ -238,19 +251,10 @@ func FindDuplicates(left, right *relation.Relation, maxDups int, minSim float64)
 // bothers to shard; below it goroutine startup dominates.
 const precomputeMinRows = 128
 
-// pairChunk is the number of candidate pairs per scoring work unit.
-const pairChunk = parshard.DefaultChunk
-
-// scoreShard is one chunk's (or the whole sequential run's) scoring
-// output.
-type scoreShard struct {
-	stats Stats
-	pairs []TuplePair
-}
-
 // findDuplicates is the full discovery step: sharded per-tuple
-// precomputation, candidate generation in canonical order, sharded
-// pair scoring, and the deterministic ranked 1:1 top-k selection.
+// precomputation, sharded pair scoring (through the weighted inverted
+// index by default, over a key-based candidate stream under Window or
+// QGrams), and the deterministic ranked 1:1 top-k selection.
 // cfg must have passed validation; MaxDuplicates and MinTupleSim are
 // honored exactly as given (the exported FindDuplicates deliberately
 // passes raw values to keep its historical parameter semantics, e.g.
@@ -332,30 +336,8 @@ func findDuplicates(ctx context.Context, left, right *relation.Relation, cfg Con
 	}
 	csp.End()
 
-	// Sort keys are only materialized when a key-based candidate
-	// strategy asks for them, from the already-rendered tuple texts.
-	// The cancellation error is deliberately dropped: the scoring run
-	// below re-checks ctx on entry, so a cancel here still aborts
-	// promptly — the poll only keeps this pass from running to
-	// completion first.
-	keysOf := func(texts []string) func() []string {
-		return func() []string {
-			keys := make([]string, len(texts))
-			_ = parshard.RangesContext(ctx, preWorkers, len(texts), func(_, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					if i%parshard.CancelStride == 0 && parshard.Canceled(ctx) {
-						return
-					}
-					keys[i] = sortKey(texts[i])
-				}
-			})
-			return keys
-		}
-	}
-	gen := candidateGen(cfg, leftTokens, rightTokens, keysOf(leftTexts), keysOf(rightTexts))
-
-	// Score the candidate stream across the worker pool. Tiny inputs
-	// fit in a single chunk; the pool would only add overhead.
+	// Score across the worker pool. Tiny inputs fit in a single chunk;
+	// the pool would only add overhead.
 	scoreWorkers := workers
 	if nl*nr <= pairChunk {
 		scoreWorkers = 1
@@ -363,26 +345,13 @@ func findDuplicates(ctx context.Context, left, right *relation.Relation, cfg Con
 	_, ssp := obs.StartSpan(ctx, "match.score")
 	defer ssp.End()
 	ssp.SetInt("workers", scoreWorkers)
-	minSim := cfg.MinTupleSim
-	out, err := parshard.RunContext(ctx, scoreWorkers, pairChunk,
-		parshard.Gen[[2]int](func(yield func([2]int) bool) {
-			gen(func(li, ri int) bool { return yield([2]int{li, ri}) })
-		}),
-		func() func([2]int, *scoreShard) {
-			return func(p [2]int, out *scoreShard) {
-				out.stats.CandidatePairs++
-				sim := strsim.DotTermVecs(leftVecs[p[0]], rightVecs[p[1]])
-				if sim >= minSim {
-					out.stats.Scored++
-					out.pairs = append(out.pairs, TuplePair{LeftRow: p[0], RightRow: p[1], Sim: sim})
-				}
-			}
-		},
-		func(into *scoreShard, chunk scoreShard) {
-			into.stats.CandidatePairs += chunk.stats.CandidatePairs
-			into.stats.Scored += chunk.stats.Scored
-			into.pairs = append(into.pairs, chunk.pairs...)
-		})
+	var out scoreShard
+	if cfg.Window > 0 || cfg.QGrams > 0 {
+		gen := keyedPairs(cfg, sortKeys(ctx, leftTexts, preWorkers), sortKeys(ctx, rightTexts, preWorkers))
+		out, err = scorePairGen(ctx, scoreWorkers, gen, leftVecs, rightVecs, cfg.MinTupleSim)
+	} else {
+		out, err = scoreIndexed(ctx, scoreWorkers, leftVecs, rightVecs, cfg.MinTupleSim)
+	}
 	if err != nil {
 		return nil, Stats{}, err
 	}

@@ -13,6 +13,20 @@
 // closure over duplicate pairs forms clusters, and an objectID column
 // identifying each cluster is appended to the relation.
 //
+// # The filter
+//
+// The upper bound scores each attribute optimistically: numeric values
+// exactly, text by the rune-multiset intersection over the longer
+// length, which no edit similarity can exceed. Each cell carries a
+// 64-bit rune-presence sketch next to its sorted rune histogram. The
+// sketch goes first: a rune present in one cell and absent from the
+// other shows up as a sketch bit, which caps the intersection in a few
+// instructions, and only when that cap still lets the attribute reach
+// matchCutoff does the exact histogram merge run. An attribute the
+// sketch rules out could not have counted anyway, so the pair's bound
+// is the same number either way; Config.DisableFilter compares every
+// candidate instead (ablation D4) and yields the same Duplicates.
+//
 // # Candidate generation
 //
 // Which pairs are compared is decided by one of three strategies:
@@ -46,6 +60,7 @@ package dupdetect
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -165,8 +180,12 @@ type Result struct {
 	// Duplicates are the pairs scored at or above the threshold, in
 	// candidate order.
 	Duplicates []ScoredPair
-	// Borderline are pairs in [0.9·threshold, threshold): the demo
-	// GUI shows these as "unsure cases" for the user to decide.
+	// Borderline are the compared pairs scoring in [0.9·threshold,
+	// threshold), in candidate order: the demo GUI shows these as
+	// "unsure cases" for the user to decide. The filter skips pairs
+	// whose upper bound is below the threshold, borderline ones
+	// included, so with the filter on this lists a subset of what
+	// DisableFilter lists.
 	Borderline []ScoredPair
 	// SelectedAttributes are the attributes the similarity used.
 	SelectedAttributes []string
@@ -377,9 +396,10 @@ type measure struct {
 	// runes[i][k] is the rune form of texts[i][k], so the edit-
 	// distance kernel never re-decodes UTF-8.
 	runes [][][]rune
-	// counts[i][k] is the sorted rune histogram of texts[i][k],
-	// backing the multiset upper bound on edit similarity with a
-	// two-pointer merge instead of a map walk.
+	// counts[i][k] is the rune multiset of texts[i][k]: a presence
+	// sketch checked first, and the sorted rune histogram backing the
+	// exact multiset upper bound on edit similarity with a two-pointer
+	// merge instead of a map walk.
 	counts [][]runeCounts
 	// weights[i][k] is the identifying power (soft IDF) of that value.
 	weights [][]float64
@@ -406,9 +426,30 @@ type runeCount struct {
 	n int
 }
 
-// runeCounts is a rune histogram sorted by rune, for allocation-free
-// multiset intersection.
-type runeCounts []runeCount
+// runeCounts is a cell's rune multiset: a 64-bit rune-presence
+// sketch (bit runeBit(r) is set for every rune r of the cell) and the
+// histogram sorted by rune, for allocation-free multiset intersection.
+type runeCounts struct {
+	mask uint64
+	hist []runeCount
+}
+
+// runeBit maps a rune to its sketch bit. Lowercase ASCII letters and
+// digits, which make up nearly all normalized text, get a bit each;
+// other runes share the remaining 28 bits. Any mapping keeps the
+// sketch sound — a bit set in one cell's sketch and clear in the
+// other's stands for at least one rune the second cell lacks — but
+// collisions weaken it.
+func runeBit(r rune) uint {
+	switch {
+	case r >= 'a' && r <= 'z':
+		return uint(r - 'a')
+	case r >= '0' && r <= '9':
+		return 26 + uint(r-'0')
+	default:
+		return 36 + uint(r)%28
+	}
+}
 
 // evidenceFraction is the fraction of the average row weight a pair
 // must actually compare to earn full confidence.
@@ -590,20 +631,21 @@ func newMeasure(ctx context.Context, rel *relation.Relation, cols []int, cfg Con
 	return m, nil
 }
 
-// countRunes builds the sorted rune histogram of rs, reusing sortBuf
-// as sorting scratch (returned for the next call).
+// countRunes builds the rune sketch and sorted rune histogram of rs,
+// reusing sortBuf as sorting scratch (returned for the next call).
 func countRunes(rs []rune, sortBuf []rune) (runeCounts, []rune) {
 	if len(rs) == 0 {
-		return nil, sortBuf
+		return runeCounts{}, sortBuf
 	}
 	sortBuf = append(sortBuf[:0], rs...)
 	slices.Sort(sortBuf)
-	out := make(runeCounts, 0, len(sortBuf))
+	out := runeCounts{hist: make([]runeCount, 0, len(sortBuf))}
 	for _, r := range sortBuf {
-		if len(out) > 0 && out[len(out)-1].r == r {
-			out[len(out)-1].n++
+		out.mask |= 1 << runeBit(r)
+		if n := len(out.hist); n > 0 && out.hist[n-1].r == r {
+			out.hist[n-1].n++
 		} else {
-			out = append(out, runeCount{r: r, n: 1})
+			out.hist = append(out.hist, runeCount{r: r, n: 1})
 		}
 	}
 	return out, sortBuf
@@ -713,11 +755,18 @@ func (m *measure) numericSim(a, b, k int) float64 {
 // operation fixes at most one character, so
 // Levenshtein(x,y) ≥ max(|x|,|y|) − |multiset(x) ∩ multiset(y)| and
 // hence LevenshteinSim(x,y) ≤ common/max. Attributes whose bound falls
-// below matchCutoff can at best contradict, which only lowers the
-// total, so the bound assumes matched attributes score their bound and
-// contradicting attributes do not exist.
+// below matchCutoff can at best contradict.
+//
+// With the contradiction penalty on, contradicting attributes only
+// lower the total, so the bound assumes matched attributes score their
+// bound and contradicting attributes do not exist. With it off
+// (ablation D3), an attribute that fails to match leaves the measure
+// altogether, so the measure is a weighted mean over whichever subset
+// of attributes does match — and a mean over a subset can exceed the
+// mean over all candidates. The bound is then the largest single
+// attribute bound instead.
 func (m *measure) upperBound(a, b int) float64 {
-	var num, den, evidence float64
+	var num, den, best, evidence float64
 	any := false
 	for k := range m.cols {
 		if m.null[a][k] || m.null[b][k] {
@@ -736,48 +785,65 @@ func (m *measure) upperBound(a, b int) float64 {
 			w := (m.weights[a][k] + m.weights[b][k]) / 2
 			num += w * bound
 			den += w
+			best = max(best, bound)
 		}
 	}
 	if !any || den == 0 {
 		return 0
 	}
+	// The evidence factor uses the full compared weight, exactly the
+	// true similarity's factor input.
+	if m.cfg.NoContradictionPenalty {
+		return best * m.evidenceFactor(evidence)
+	}
 	// Optimistic: contradicting attributes contribute nothing to the
-	// denominator, so this ratio is ≥ the real similarity. The
-	// evidence factor uses the full compared weight, which is ≥ the
-	// true similarity's factor input, keeping the bound sound.
+	// denominator, so this ratio is ≥ the real similarity.
 	return num / den * m.evidenceFactor(evidence)
 }
 
 // editSimBound returns an upper bound of the edit similarity of two
-// strings of rune lengths la and lb in O(la+lb): the rune-multiset
-// intersection (a sorted two-pointer merge) over the longer length.
+// strings of rune lengths la and lb: the rune-multiset intersection
+// over the longer length. The sketches go first: a bit of ca.mask
+// missing from cb.mask is a distinct rune of the first string absent
+// from the second, so sketchCommon never undercounts the intersection.
+// When even that count cannot reach matchCutoff, the attribute cannot
+// match and the exact O(la+lb) two-pointer merge is skipped; the
+// returned value then differs from the exact bound but stays below
+// matchCutoff, which is all upperBound looks at.
 func editSimBound(la, lb int, ca, cb runeCounts) float64 {
-	max := la
-	if lb > max {
-		max = lb
-	}
-	if max == 0 {
+	longest := max(la, lb)
+	if longest == 0 {
 		return 1
 	}
+	if c := sketchCommon(la, lb, ca.mask, cb.mask); float64(c)/float64(longest) < matchCutoff {
+		return float64(c) / float64(longest)
+	}
 	common := 0
+	ha, hb := ca.hist, cb.hist
 	i, j := 0, 0
-	for i < len(ca) && j < len(cb) {
+	for i < len(ha) && j < len(hb) {
 		switch {
-		case ca[i].r < cb[j].r:
+		case ha[i].r < hb[j].r:
 			i++
-		case ca[i].r > cb[j].r:
+		case ha[i].r > hb[j].r:
 			j++
 		default:
-			if ca[i].n < cb[j].n {
-				common += ca[i].n
-			} else {
-				common += cb[j].n
-			}
+			common += min(ha[i].n, hb[j].n)
 			i++
 			j++
 		}
 	}
-	return float64(common) / float64(max)
+	return float64(common) / float64(longest)
+}
+
+// sketchCommon bounds the rune-multiset intersection of two strings of
+// rune lengths la and lb from their presence sketches: every bit set
+// in ma but not in mb is at least one rune of the first string that
+// the second lacks, and distinct bits are distinct runes, so at most
+// la − popcount(ma &^ mb) of the first string's runes can be shared
+// (symmetrically for the second).
+func sketchCommon(la, lb int, ma, mb uint64) int {
+	return min(la-bits.OnesCount64(ma&^mb), lb-bits.OnesCount64(mb&^ma))
 }
 
 // --- Union-find -----------------------------------------------------------

@@ -2,6 +2,8 @@ package dupdetect
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"hummer/internal/relation"
@@ -158,6 +160,38 @@ func TestNoContradictionPenaltyAblation(t *testing.T) {
 	if lax.Duplicates[0].Sim <= strict.Duplicates[0].Sim {
 		t.Errorf("disabling the penalty must raise similarity (%g vs %g)",
 			lax.Duplicates[0].Sim, strict.Duplicates[0].Sim)
+	}
+}
+
+// TestNoContradictionPenaltyFilterSound: with the penalty off, an
+// attribute that fails to match drops out of the measure, so a pair
+// can score above the mean of its attribute bounds. Here the names
+// agree exactly and the codes are near-anagrams: their multiset bound
+// (7/8) clears matchCutoff but their edit similarity does not, so the
+// real measure is the name alone (1.0) while the mean of the bounds
+// stays below 0.95. The filter must still let the pair through.
+func TestNoContradictionPenaltyFilterSound(t *testing.T) {
+	b := relation.NewBuilder("t", "Name", "Code").
+		AddText("johnathan smithers", "abcdefgh").
+		AddText("johnathan smithers", "hgfedcbx")
+	for _, r := range []string{
+		"maria garcia|qwmnrtzp", "wei chen|lkjvbsuo", "anna schmidt|ytrewqpl",
+		"peter olsen|zxcvbnmk", "lena novak|poiuytgf", "omar haddad|mnbvcxsd",
+		"sofia rossi|gfdsaqwy", "karl berg|uiopkjlh",
+	} {
+		name, code, _ := strings.Cut(r, "|")
+		b.AddText(name, code)
+	}
+	rel := b.Build()
+	for _, filterOff := range []bool{true, false} {
+		res, err := Detect(rel, Config{Threshold: 0.95, NoContradictionPenalty: true, DisableFilter: filterOff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []ScoredPair{{A: 0, B: 1, Sim: 1}}
+		if !reflect.DeepEqual(res.Duplicates, want) {
+			t.Fatalf("DisableFilter=%v: duplicates %v, want %v", filterOff, res.Duplicates, want)
+		}
 	}
 }
 
